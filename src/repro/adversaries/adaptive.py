@@ -83,7 +83,11 @@ class PressureAdversary(Adversary):
         self._order: np.ndarray | None = None
 
     def reset(self, topology: Topology, capacity: int) -> None:
-        self._order = topology.path_order()
+        # on a tree, press along the spine (the longest corridor)
+        self._order = (
+            topology.path_order() if topology.is_path
+            else topology.spine_order()
+        )
 
     def inject(self, step, heights, topology):
         order = self._order

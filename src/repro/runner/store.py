@@ -24,6 +24,12 @@ verifies, and its status marks the experiment as *completed* (``ok`` /
 ``timeout``) are re-run on resume — a worker death is exactly the kind
 of transient a resume should retry.  Corrupt artifacts are reported,
 never silently trusted or silently deleted.
+
+The provisioning service's result cache (:mod:`repro.service.cache`)
+keeps its checksummed entries in a ``RunStore`` directory as well,
+through :meth:`RunStore.record_path` and :func:`canonical_json`.  The
+store keeps no index file: the cache's LRU lives in memory and is
+rebuilt from the artifacts themselves at boot.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .runner import ExperimentRecord, RunManifest
 __all__ = [
     "RECORD_FORMAT",
     "MANIFEST_FORMAT",
-    "INDEX_FORMAT",
     "COMPLETED_STATUSES",
     "canonical_json",
     "RunStore",
@@ -48,7 +53,6 @@ __all__ = [
 
 RECORD_FORMAT = "repro-run-record-v1"
 MANIFEST_FORMAT = "repro-run-manifest-v1"
-INDEX_FORMAT = "repro-store-index-v1"
 
 #: statuses that mean "this experiment ran to completion" — artifacts
 #: carrying any other status are re-run on ``--resume``.
@@ -204,174 +208,3 @@ class RunStore:
         if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
             return None
         return doc
-
-    # -- index + LRU/size-bounded eviction -----------------------------
-    #
-    # The provisioning service uses a RunStore directory as its
-    # content-addressed result cache; ``index.json`` is the recency and
-    # size ledger that makes bounded eviction possible without stat'ing
-    # and re-reading every artifact.  The index is *advisory*: artifacts
-    # remain self-verifying (checksummed) whether or not they are
-    # indexed, and a lost/corrupt index simply rebuilds from the files
-    # on disk.  ``clock`` is a logical LRU counter (no wall time, so
-    # recency ordering is deterministic and replayable).  Entries whose
-    # meta carries a ``"bucket"`` string are additionally filed under
-    # ``doc["buckets"][bucket]`` so shape-scoped lookups (the service's
-    # degraded-mode nearest-neighbour) stay O(bucket) as the index
-    # grows; eviction keeps the two views consistent, and indexes
-    # written before buckets existed rebuild them from metas on load.
-
-    @property
-    def index_path(self) -> Path:
-        return self.directory / "index.json"
-
-    def load_index(self) -> dict[str, Any]:
-        """The current index document (a fresh empty one if untrusted)."""
-        try:
-            doc = json.loads(self.index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            doc = None
-        if (
-            not isinstance(doc, dict)
-            or doc.get("format") != INDEX_FORMAT
-            or not isinstance(doc.get("entries"), dict)
-        ):
-            return {
-                "format": INDEX_FORMAT,
-                "clock": 0,
-                "entries": {},
-                "buckets": {},
-            }
-        doc.setdefault("clock", 0)
-        if not isinstance(doc.get("buckets"), dict):
-            # legacy index (pre-bucket): rebuild membership from metas
-            doc["buckets"] = self._rebuild_buckets(doc["entries"])
-        return doc
-
-    @staticmethod
-    def _rebuild_buckets(
-        entries: dict[str, Any],
-    ) -> dict[str, list[str]]:
-        buckets: dict[str, list[str]] = {}
-        for name, entry in entries.items():
-            meta = entry.get("meta")
-            if isinstance(meta, dict) and isinstance(
-                meta.get("bucket"), str
-            ):
-                buckets.setdefault(meta["bucket"], []).append(name)
-        return {b: sorted(ns) for b, ns in sorted(buckets.items())}
-
-    @staticmethod
-    def _drop_from_buckets(
-        doc: dict[str, Any], name: str, entry: Any
-    ) -> None:
-        bucket = ((entry or {}).get("meta") or {}).get("bucket")
-        buckets = doc.get("buckets")
-        if not isinstance(buckets, dict) or not isinstance(bucket, str):
-            return
-        names = buckets.get(bucket)
-        if isinstance(names, list) and name in names:
-            names.remove(name)
-            if not names:
-                del buckets[bucket]
-
-    def bucket_names(
-        self, bucket: str, doc: dict[str, Any] | None = None
-    ) -> list[str]:
-        """Index entry names filed under ``bucket`` (O(bucket), not
-        O(index): the degraded-mode nearest lookup's working set)."""
-        doc = self.load_index() if doc is None else doc
-        names = doc.get("buckets", {}).get(bucket, [])
-        return list(names) if isinstance(names, list) else []
-
-    def write_index(self, doc: dict[str, Any]) -> Path:
-        """Atomically rewrite ``index.json``."""
-        doc = dict(doc)
-        doc["format"] = INDEX_FORMAT
-        return atomic_write_text(
-            self.index_path,
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-        )
-
-    def touch(
-        self, name: str, *, meta: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """Mark artifact ``<name>.json`` as just used (and (re)index it).
-
-        Bumps the logical clock, records the artifact's current size,
-        merges ``meta`` (small, queryable facts about the entry — the
-        service stores topology/policy/adversary here so degraded-mode
-        nearest-neighbour lookup never has to open artifacts), and
-        atomically rewrites the index.  Returns the updated index doc.
-        """
-        doc = self.load_index()
-        doc["clock"] = int(doc["clock"]) + 1
-        path = self.record_path(name)
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        entry = doc["entries"].setdefault(name.lower(), {})
-        entry["bytes"] = int(size)
-        entry["last_used"] = doc["clock"]
-        if meta is not None:
-            entry["meta"] = meta
-        bucket = (entry.get("meta") or {}).get("bucket")
-        if isinstance(bucket, str):
-            names = doc.setdefault("buckets", {}).setdefault(bucket, [])
-            if name.lower() not in names:
-                names.append(name.lower())
-        self.write_index(doc)
-        return doc
-
-    def indexed_bytes(self, doc: dict[str, Any] | None = None) -> int:
-        """Total artifact bytes currently accounted for by the index."""
-        doc = self.load_index() if doc is None else doc
-        return sum(
-            int(e.get("bytes", 0)) for e in doc["entries"].values()
-        )
-
-    def evict(
-        self,
-        *,
-        max_bytes: int | None = None,
-        max_entries: int | None = None,
-    ) -> list[str]:
-        """Delete least-recently-used artifacts until within bounds.
-
-        Returns the evicted entry names.  Index entries whose files
-        already vanished are pruned (and count as evicted); the index
-        is rewritten atomically once at the end.  ``None`` bounds are
-        unlimited.
-        """
-        doc = self.load_index()
-        entries: dict[str, Any] = doc["entries"]
-        evicted: list[str] = []
-        for name in list(entries):
-            if not self.record_path(name).exists():
-                self._drop_from_buckets(doc, name, entries[name])
-                del entries[name]
-                evicted.append(name)
-        # oldest first; name tie-break keeps the order deterministic
-        by_age = sorted(
-            entries, key=lambda k: (int(entries[k]["last_used"]), k)
-        )
-        total = self.indexed_bytes(doc)
-        for name in by_age:
-            over_count = (
-                max_entries is not None and len(entries) > max_entries
-            )
-            over_size = max_bytes is not None and total > max_bytes
-            if not (over_count or over_size):
-                break
-            total -= int(entries[name].get("bytes", 0))
-            self._drop_from_buckets(doc, name, entries[name])
-            del entries[name]
-            try:
-                self.record_path(name).unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-            evicted.append(name)
-        if evicted:
-            self.write_index(doc)
-        return evicted

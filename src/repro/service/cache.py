@@ -3,35 +3,44 @@
 Cache entries are checksummed artifacts in a :class:`RunStore`
 directory, one file per content address (`q<sha256-prefix>.json`),
 verified on every read exactly like durable-run artifacts: a flipped
-bit yields a miss, never a wrong answer.  The store's ``index.json``
-(atomically rewritten) provides LRU recency and size accounting; the
-cache evicts through it so the directory stays under the configured
-``max_bytes`` / ``max_entries`` bounds.
+bit yields a miss, never a wrong answer.
 
-The index also carries each entry's query shape (topology sha, policy,
-adversary), which is what lets graceful degradation answer "the
-nearest cached result" for an unservable query without opening any
-artifact files.  Provision entries are additionally filed under a
-*shape bucket* (topology sha + policy) in the store index, so the
-nearest lookup scans one bucket — O(bucket members), not O(cache) —
-no matter how large the cache grows; eviction prunes bucket
-membership in the same atomic index rewrite that drops the entry.
+The only index is in memory: an LRU (`OrderedDict`, oldest first)
+mapping entry name → (artifact bytes, query shape).  It is rebuilt at
+boot by scanning the directory's `q*.json` artifacts in mtime order,
+verifying each and skipping any that do not verify, so a restart
+keeps every entry but loses recency (order falls back to write time).
+A `put` is one atomic artifact write, an O(1) insert, and eviction of
+the oldest entries until the store is back under ``max_bytes`` /
+``max_entries``; a hit moves its entry to the newest end.
+
+The shape (topology sha, policy, adversary) is what lets graceful
+degradation answer "the nearest cached result" for an unservable
+query: :meth:`ResultCache.nearest` scans the in-memory LRU newest
+first and opens only artifacts of the matching shape.  At boot the
+shape is read from the `query` block every stored response carries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import OrderedDict
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
-from ..io.checkpoint import atomic_write_text
+from ..io.checkpoint import atomic_write_bytes
 from ..runner.store import RunStore, canonical_json
 from .protocol import ProvisionQuery
 
-__all__ = ["ENTRY_FORMAT", "ResultCache", "shape_bucket"]
+__all__ = ["ENTRY_FORMAT", "ResultCache"]
 
 ENTRY_FORMAT = "repro-cache-entry-v1"
+
+#: (topology_sha, policy, adversary) of a provision entry; ``None`` for
+#: entries that are never nearest-neighbour candidates.
+Shape = tuple[Any, Any, Any] | None
+
 
 #: artifact name for a cache key: a distinct prefix keeps cache entries
 #: from ever colliding with experiment-id artifacts in a shared root.
@@ -39,17 +48,15 @@ def _entry_name(key: str) -> str:
     return f"q{key[:40]}"
 
 
-def shape_bucket(query: ProvisionQuery) -> str | None:
-    """The index bucket a provision query's cache entry is filed under.
-
-    Topology sha + policy: the coarse shape the degraded-mode nearest
-    lookup scopes its scan to (the finer adversary match happens
-    within the bucket).  ``None`` for experiment queries — they are
-    never nearest-neighbour candidates.
-    """
-    if query.kind != "provision":
+def _shape(canonical: Mapping[str, Any]) -> Shape:
+    """The nearest-lookup shape of a canonical query block."""
+    if canonical.get("kind") != "provision":
         return None
-    return f"{query.topology_sha}|{query.policy}"
+    return (
+        canonical.get("topology_sha"),
+        canonical.get("policy"),
+        canonical.get("adversary"),
+    )
 
 
 class ResultCache:
@@ -67,37 +74,96 @@ class ResultCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        self._lru: OrderedDict[str, tuple[int, Shape]] = OrderedDict()
+        self._bytes = 0
+        self._load()
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        return self.store.record_path(_entry_name(key))
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The cached response for ``key``, or ``None``.
-
-        Verifies the artifact's checksum and its stored key before
-        trusting it, and refreshes the entry's LRU position on a hit.
-        """
+    def _read(self, name: str) -> tuple[dict[str, Any], int] | None:
+        """The verified body of artifact ``name`` and its size in bytes."""
         try:
-            doc = json.loads(self._path(key).read_text())
-        except (OSError, json.JSONDecodeError):
-            self.misses += 1
+            raw = self.store.record_path(name).read_bytes()
+            doc = json.loads(raw)
+        except (OSError, ValueError):
             return None
         body = doc.get("body") if isinstance(doc, dict) else None
         if (
-            not isinstance(doc, dict)
+            not isinstance(body, dict)
             or doc.get("format") != ENTRY_FORMAT
-            or not isinstance(body, dict)
-            or body.get("key") != key
+            or not isinstance(body.get("key"), str)
+            or _entry_name(body["key"]) != name
             or hashlib.sha256(
                 canonical_json(body).encode("utf-8")
             ).hexdigest()
             != doc.get("sha256")
         ):
+            return None
+        return body, len(raw)
+
+    def _load(self) -> None:
+        """Rebuild the LRU from the artifacts on disk, oldest first."""
+        found = []
+        for path in self.store.directory.glob("q*.json"):
+            try:
+                found.append((path.stat().st_mtime_ns, path.stem))
+            except OSError:  # pragma: no cover - vanished mid-scan
+                continue
+        for _, name in sorted(found):
+            read = self._read(name)
+            if read is not None:
+                body, size = read
+                self._insert(name, size, self._body_shape(body))
+        self._evict()
+
+    @staticmethod
+    def _body_shape(body: dict[str, Any]) -> Shape:
+        response = body.get("response")
+        query = response.get("query") if isinstance(response, dict) else None
+        return _shape(query) if isinstance(query, dict) else None
+
+    def _insert(self, name: str, size: int, shape: Shape) -> None:
+        self._forget(name)
+        self._lru[name] = (size, shape)
+        self._bytes += size
+
+    def _forget(self, name: str) -> None:
+        entry = self._lru.pop(name, None)
+        if entry is not None:
+            self._bytes -= entry[0]
+
+    def _evict(self) -> None:
+        """Drop least-recently-used entries until within both bounds."""
+        while self._lru and (
+            (self.max_entries is not None
+             and len(self._lru) > self.max_entries)
+            or (self.max_bytes is not None and self._bytes > self.max_bytes)
+        ):
+            name, (size, _) = self._lru.popitem(last=False)
+            self._bytes -= size
+            self.store.record_path(name).unlink(missing_ok=True)
+
+    # ------------------------------------------------------------------
+    def get(self, key: str) -> dict[str, Any] | None:
+        """The cached response for ``key``, or ``None``.
+
+        Verifies the artifact's checksum and its stored key before
+        trusting it, and moves the entry to the newest end of the LRU
+        on a hit (adopting a valid artifact the LRU does not know yet).
+        An entry whose artifact no longer verifies is forgotten.
+        """
+        name = _entry_name(key)
+        read = self._read(name)
+        if read is None or read[0].get("key") != key:
+            self._forget(name)
             self.misses += 1
             return None
+        body, size = read
         self.hits += 1
-        self.store.touch(_entry_name(key))
+        if name in self._lru:
+            self._lru.move_to_end(name)
+        else:
+            self._insert(name, size, self._body_shape(body))
+            self._evict()
         return body.get("response")
 
     def put(
@@ -112,24 +178,13 @@ class ResultCache:
             ).hexdigest(),
             "body": body,
         }
-        path = atomic_write_text(
-            self._path(key),
-            json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n",
-        )
-        meta: dict[str, Any] = {
-            "kind": query.kind,
-            "topology_sha": query.topology_sha,
-            "policy": query.policy,
-            "adversary": query.adversary,
-            "steps": query.steps,
-        }
-        bucket = shape_bucket(query)
-        if bucket is not None:
-            meta["bucket"] = bucket
-        self.store.touch(_entry_name(key), meta=meta)
-        self.store.evict(
-            max_bytes=self.max_bytes, max_entries=self.max_entries
-        )
+        payload = (
+            json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+        ).encode("utf-8")
+        name = _entry_name(key)
+        path = atomic_write_bytes(self.store.record_path(name), payload)
+        self._insert(name, len(payload), _shape(query.canonical()))
+        self._evict()
         return path
 
     # ------------------------------------------------------------------
@@ -140,35 +195,18 @@ class ResultCache:
         shape of the provisioning question), most recently used first —
         a stale-but-real measurement beats a purely analytic bound.
         Returns ``None`` when nothing in the cache shares the shape.
-        The scan is scoped to the query's shape bucket in the store
-        index, so its cost tracks the bucket's population, not the
-        cache's.
+        The scan runs over the in-memory LRU; only artifacts of the
+        matching shape are opened.
         """
-        bucket = shape_bucket(query)
-        if bucket is None:
+        shape = _shape(query.canonical())
+        if shape is None:
             return None
-        doc = self.store.load_index()
-        entries = doc["entries"]
-        candidates = [
-            (int(entry.get("last_used", 0)), name)
-            for name in self.store.bucket_names(bucket, doc)
-            if (entry := entries.get(name)) is not None
-            and (meta := entry.get("meta"))
-            and meta.get("kind") == "provision"
-            and meta.get("topology_sha") == query.topology_sha
-            and meta.get("policy") == query.policy
-            and meta.get("adversary") == query.adversary
-        ]
-        for _, name in sorted(candidates, reverse=True):
-            try:
-                doc_ = json.loads(self.store.record_path(name).read_text())
-                body = doc_["body"]
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        for name, (_, entry_shape) in reversed(self._lru.items()):
+            if entry_shape != shape:
                 continue
-            if hashlib.sha256(
-                canonical_json(body).encode("utf-8")
-            ).hexdigest() == doc_.get("sha256"):
-                return body.get("response")
+            read = self._read(name)
+            if read is not None:
+                return read[0].get("response")
         return None
 
     # ------------------------------------------------------------------
@@ -178,13 +216,12 @@ class ResultCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, Any]:
-        doc = self.store.load_index()
         return {
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
-            "entries": len(doc["entries"]),
-            "bytes": self.store.indexed_bytes(doc),
+            "entries": len(self._lru),
+            "bytes": self._bytes,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
         }

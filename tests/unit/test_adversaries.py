@@ -222,6 +222,26 @@ class TestAdaptive:
         (site,) = adv.inject(0, h, topo)
         assert site == 2  # left edge of the non-increasing run to the sink
 
+    def test_pressure_on_a_tree_presses_along_the_spine(self):
+        from repro.core.bounds import tree_upper_bound
+        from repro.network.topology import balanced_tree
+        from repro.network.tree_engine import TreeEngine
+        from repro.policies import TreeOddEvenPolicy
+
+        topo = balanced_tree(2, 10)
+        adv = PressureAdversary()
+        adv.reset(topo, 1)
+        spine = topo.spine_order()
+        h = zero_heights(topo)
+        (site,) = adv.inject(0, h, topo)
+        assert site == spine[0]  # flat spine: the far end is the edge
+        h[spine[-2]] = 2
+        (site,) = adv.inject(1, h, topo)
+        assert site == spine[-2]
+        e = TreeEngine(topo, TreeOddEvenPolicy(), PressureAdversary())
+        e.run(400)
+        assert 1 <= e.max_height <= tree_upper_bound(topo.n)
+
     def test_plateau_fills_lowest(self):
         topo = path(6)
         adv = PlateauAdversary(width=3)

@@ -3,13 +3,15 @@
 Covers the resilience primitives (deadlines, admission control,
 circuit breakers, deterministic backoff), query validation and the
 content-address cache key (including the Hypothesis property that the
-key is insensitive to dict ordering and stable across processes), the
-RunStore index/eviction layer, and the checksummed result cache.
+key is insensitive to dict ordering and stable across processes), and the
+checksummed result cache with its in-memory LRU (rebuilt from the
+artifacts at boot).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runner import RunStore
 from repro.service import (
     AdmissionController,
     BadRequest,
@@ -401,56 +402,6 @@ class TestCacheKeyProperties:
 
 
 # ---------------------------------------------------------------------------
-class TestRunStoreIndex:
-    def test_missing_or_corrupt_index_yields_fresh_empty(self, tmp_path):
-        store = RunStore(tmp_path)
-        assert store.load_index()["entries"] == {}
-        store.index_path.write_text("{ not json")
-        assert store.load_index()["entries"] == {}
-        store.index_path.write_text(json.dumps({"format": "other"}))
-        assert store.load_index()["entries"] == {}
-
-    def test_touch_round_trips_through_the_index(self, tmp_path):
-        store = RunStore(tmp_path)
-        store.record_path("a").write_text("x" * 10)
-        store.touch("a", meta={"policy": "odd-even"})
-        doc = store.load_index()
-        assert doc["entries"]["a"]["bytes"] == 10
-        assert doc["entries"]["a"]["last_used"] == 1
-        assert doc["entries"]["a"]["meta"] == {"policy": "odd-even"}
-        store.touch("a")
-        assert store.load_index()["entries"]["a"]["last_used"] == 2
-
-    def test_evict_by_entry_count_is_lru(self, tmp_path):
-        store = RunStore(tmp_path)
-        for name in ("a", "b", "c"):
-            store.record_path(name).write_text("data")
-            store.touch(name)
-        store.touch("a")  # refresh a: b is now the oldest
-        evicted = store.evict(max_entries=2)
-        assert evicted == ["b"]
-        assert not store.record_path("b").exists()
-        assert store.record_path("a").exists()
-        assert sorted(store.load_index()["entries"]) == ["a", "c"]
-
-    def test_evict_by_bytes(self, tmp_path):
-        store = RunStore(tmp_path)
-        for name in ("a", "b", "c"):
-            store.record_path(name).write_text("x" * 100)
-            store.touch(name)
-        evicted = store.evict(max_bytes=250)
-        assert evicted == ["a"]  # oldest first, until under the bound
-        assert store.indexed_bytes() == 200
-
-    def test_evict_prunes_vanished_files(self, tmp_path):
-        store = RunStore(tmp_path)
-        store.record_path("gone").write_text("data")
-        store.touch("gone")
-        store.record_path("gone").unlink()
-        assert store.evict() == ["gone"]
-        assert store.load_index()["entries"] == {}
-
-
 class TestResultCache:
     def _query(self, **over):
         return ProvisionQuery.from_dict(
@@ -485,8 +436,8 @@ class TestResultCache:
             q = self._query(steps=steps)
             keys.append(q.cache_key())
             cache.put(keys[-1], {"max_height": steps}, query=q)
-        entries = cache.store.load_index()["entries"]
-        assert len(entries) == 3
+        assert cache.stats()["entries"] == 3
+        assert len(list(tmp_path.glob("q*.json"))) == 3
         assert cache.get(keys[0]) is None  # oldest evicted
         assert cache.get(keys[-1]) == {"max_height": 6}
 
@@ -495,7 +446,8 @@ class TestResultCache:
         for steps in range(1, 20):
             q = self._query(steps=steps)
             cache.put(q.cache_key(), {"blob": "x" * 300}, query=q)
-        assert cache.store.indexed_bytes() <= 2048
+        on_disk = sum(p.stat().st_size for p in tmp_path.glob("q*.json"))
+        assert cache.stats()["bytes"] == on_disk <= 2048
 
     def test_nearest_matches_query_shape_only(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -516,6 +468,169 @@ class TestResultCache:
         assert stats["max_bytes"] == 123 and stats["max_entries"] == 7
 
 
+class TestResultCacheLru:
+    """The in-memory LRU: boot rebuild, bounds, and the cost of a put."""
+
+    def _query(self, **over):
+        return ProvisionQuery.from_dict(
+            {"topology": "path:16", "steps": 50, **over}
+        )
+
+    def _put(self, cache, **over):
+        q = self._query(**over)
+        response = {"query": q.canonical(), "max_height": q.steps}
+        path = cache.put(q.cache_key(), response, query=q)
+        return q.cache_key(), path
+
+    def test_restart_rebuilds_entries_bytes_and_nearest(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = [self._put(cache, steps=s)[0] for s in (10, 20, 30)]
+        self._put(cache, steps=40, adversary="pre-sink")
+        before = cache.stats()
+        assert not (tmp_path / "index.json").exists()
+
+        again = ResultCache(tmp_path)
+        after = again.stats()
+        assert after["entries"] == before["entries"] == 4
+        assert after["bytes"] == before["bytes"] == sum(
+            p.stat().st_size for p in tmp_path.glob("q*.json")
+        )
+        assert again.hits == again.misses == 0
+        near = again.nearest(self._query(steps=999))
+        assert near is not None
+        assert near["query"]["adversary"] == "far-end"
+        assert again.nearest(
+            self._query(steps=999, adversary="pre-sink")
+        )["max_height"] == 40
+        assert again.nearest(self._query(adversary="seesaw")) is None
+        assert again.get(keys[0]) == {
+            "query": self._query(steps=10).canonical(), "max_height": 10,
+        }
+
+    def test_corrupt_or_foreign_artifact_at_boot_is_skipped(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        good, _ = self._put(cache, steps=10)
+        bad, bad_path = self._put(cache, steps=20)
+        bad_path.write_text(
+            bad_path.read_text().replace(
+                '"max_height": 20', '"max_height": 21'
+            )
+        )
+        # foreign format, and a verifying artifact filed under a name
+        # that is not its key's
+        (tmp_path / "qforeign.json").write_text(
+            json.dumps({"format": "other", "body": {}})
+        )
+        _, src = self._put(cache, steps=30)
+        (tmp_path / "q0000.json").write_text(src.read_text())
+        src.unlink()
+
+        again = ResultCache(tmp_path)
+        assert again.stats()["entries"] == 1
+        assert again.stats()["bytes"] == (
+            tmp_path / f"q{good[:40]}.json"
+        ).stat().st_size
+        assert again.get(bad) is None
+        assert again.misses == 1
+        assert again.get(good) is not None
+        assert again.nearest(self._query(steps=999))["max_height"] == 10
+
+    def test_legacy_index_json_is_ignored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key, _ = self._put(cache, steps=10)
+        legacy = json.dumps({
+            "format": "repro-store-index-v1",
+            "clock": 9,
+            "entries": {"qgone": {"bytes": 10**9, "last_used": 9}},
+            "buckets": {},
+        })
+        (tmp_path / "index.json").write_text(legacy)
+
+        again = ResultCache(tmp_path, max_bytes=10**6)
+        assert again.stats()["entries"] == 1
+        assert again.get(key) is not None
+        self._put(again, steps=20)
+        assert (tmp_path / "index.json").read_text() == legacy
+
+    def test_evicts_by_count_and_a_hit_refreshes(self, tmp_path):
+        cache = ResultCache(tmp_path, max_entries=2)
+        a, a_path = self._put(cache, steps=10)
+        b, b_path = self._put(cache, steps=20)
+        assert cache.get(a) is not None  # refresh a: b is now the oldest
+        c, c_path = self._put(cache, steps=30)
+        assert not b_path.exists()
+        assert a_path.exists() and c_path.exists()
+        assert cache.stats()["entries"] == 2
+        assert cache.get(b) is None
+        self._put(cache, steps=40)  # a is now the oldest
+        assert not a_path.exists() and c_path.exists()
+
+    def test_evicts_by_bytes_oldest_first(self, tmp_path):
+        probe = ResultCache(tmp_path / "probe")
+        size = self._put(probe, steps=10)[1].stat().st_size
+        cache = ResultCache(tmp_path / "c", max_bytes=2 * size + size // 2,
+                            max_entries=None)
+        a, a_path = self._put(cache, steps=10)
+        b, b_path = self._put(cache, steps=20)
+        assert cache.get(a) is not None  # b is now the oldest
+        self._put(cache, steps=30)
+        assert a_path.exists() and not b_path.exists()
+        on_disk = sum(p.stat().st_size for p in cache.store.directory.glob(
+            "q*.json"))
+        assert cache.stats()["bytes"] == on_disk == 2 * size
+
+    def test_boot_orders_by_mtime_and_applies_bounds(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        paths = [self._put(cache, steps=s)[1] for s in (10, 20, 30)]
+        # write order 10, 20, 30 but mtimes say 20 is the newest
+        for i, path in zip((1, 3, 2), paths):
+            os.utime(path, ns=(i * 10**9, i * 10**9))
+        again = ResultCache(tmp_path, max_entries=2)
+        assert not paths[0].exists()
+        assert paths[1].exists() and paths[2].exists()
+        assert again.nearest(self._query(steps=999))["max_height"] == 20
+
+    def test_vanished_artifact_is_a_miss_and_forgotten(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key, path = self._put(cache, steps=10)
+        path.unlink()
+        assert cache.get(key) is None
+        assert cache.stats()["entries"] == 0
+        assert cache.stats()["bytes"] == 0
+
+    def test_put_is_one_write_and_no_directory_scan(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.cache as cache_mod
+
+        cache = ResultCache(tmp_path, max_entries=3)
+        key, _ = self._put(cache, steps=1)
+
+        writes = []
+        write = cache_mod.atomic_write_bytes
+
+        def counting_write(path, data):
+            writes.append(path)
+            return write(path, data)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("directory scanned")
+
+        monkeypatch.setattr(cache_mod, "atomic_write_bytes", counting_write)
+        monkeypatch.setattr(Path, "glob", no_scan)
+        monkeypatch.setattr(Path, "iterdir", no_scan)
+        monkeypatch.setattr(os, "scandir", no_scan)
+        monkeypatch.setattr(os, "listdir", no_scan)
+        for steps in range(2, 9):  # evicts from the fourth put on
+            self._put(cache, steps=steps)
+            assert len(writes) == steps - 1
+        assert cache.get(key) is None  # evicted
+        assert cache.stats()["entries"] == 3
+        hit = self._query(steps=8).cache_key()
+        assert cache.get(hit) is not None
+        assert len(writes) == 7  # a hit writes nothing
+
+
 # ---------------------------------------------------------------------------
 class TestWorker:
     def test_path_provision_is_deterministic(self):
@@ -532,6 +647,15 @@ class TestWorker:
         assert out["injected"] == (
             out["delivered"] + out["in_flight"] + out["dropped"]
         )
+
+    def test_pressure_on_a_tree_is_answered(self):
+        out = execute_query(self._wd(topology="binary:10",
+                                     adversary="pressure", steps=400))
+        assert "error" not in out
+        assert out["kind"] == "provision" and out["degraded"] is False
+        assert out["n"] == 2047 and out["steps"] == 400
+        assert 1 <= out["max_height"] <= out["bound"]
+        assert out["injected"] == 400
 
     def test_deterministic_error_is_reported_not_raised(self):
         out = execute_query({"kind": "experiment", "experiment": "NOPE",

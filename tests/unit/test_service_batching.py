@@ -4,8 +4,8 @@ Covers the batch key (what may share a FleetEngine), the
 heterogeneous-horizon fleet entry point, the worker batch body's
 poisoned-lane isolation, the deadline-aware batcher's flush and demux
 behaviour (against an in-process fake pool — no worker processes), and
-the shape-bucketed cache index that keeps degraded-mode nearest
-lookups O(bucket) under eviction.
+the cache's degraded-mode nearest lookup over real worker answers,
+under eviction and across a restart.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.service import (
     execute_query,
     warm_worker,
 )
-from repro.service.cache import shape_bucket
 from repro.service.shards import NoHealthyShard
 
 
@@ -302,10 +301,9 @@ class TestQueryBatcher:
         assert got[0] is not got[1]
 
 
-# -- bucketed cache index ----------------------------------------------
-class TestCacheBuckets:
+# -- nearest lookup over real worker answers -----------------------------
+class TestCacheNearest:
     def _fill(self, cache, shapes, per_shape):
-        queries = []
         for policy, adversary in shapes:
             for i in range(per_shape):
                 q = _query(
@@ -317,65 +315,32 @@ class TestCacheBuckets:
                     execute_query(q.to_worker_dict()),
                     query=q,
                 )
-                queries.append(q)
-        return queries
 
-    def _assert_consistent(self, cache):
-        """Bucket membership and index entries agree exactly."""
-        doc = cache.store.load_index()
-        bucketed = {
-            name
-            for names in doc["buckets"].values()
-            for name in names
-        }
-        provision = {
-            name
-            for name, entry in doc["entries"].items()
-            if (entry.get("meta") or {}).get("kind") == "provision"
-        }
-        assert bucketed == provision
-        for bucket, names in doc["buckets"].items():
-            for name in names:
-                meta = doc["entries"][name]["meta"]
-                assert meta["bucket"] == bucket
-
-    def test_nearest_scans_only_the_shape_bucket(self, tmp_path):
+    def test_nearest_matches_shape_newest_first(self, tmp_path):
         cache = ResultCache(tmp_path)
         self._fill(
             cache,
             [("odd-even", "far-end"), ("downhill", "pre-sink")],
             per_shape=3,
         )
-        probe = _query(steps=9999)  # same shape, uncached steps
-        near = cache.nearest(probe)
+        near = cache.nearest(_query(steps=9999))  # uncached steps
         assert near is not None
         assert near["query"]["policy"] == "odd-even"
-        self._assert_consistent(cache)
-        names = cache.store.bucket_names(shape_bucket(probe))
-        assert len(names) == 3  # O(bucket), not O(cache)
+        assert near["steps"] == 22  # the newest of its shape
+        assert cache.nearest(_query(policy="downhill")) is None
 
-    def test_eviction_keeps_buckets_consistent(self, tmp_path):
+    def test_eviction_and_restart_keep_nearest_consistent(self, tmp_path):
         cache = ResultCache(tmp_path, max_entries=4)
         self._fill(
             cache,
             [("odd-even", "far-end"), ("downhill", "pre-sink")],
             per_shape=4,
         )
-        doc = cache.store.load_index()
-        assert len(doc["entries"]) == 4  # evicted down to the bound
-        self._assert_consistent(cache)
-        # the surviving (most recent) shape still answers nearest
-        assert cache.nearest(
-            _query(policy="downhill", adversary="pre-sink", steps=777)
-        ) is not None
-        # the fully-evicted shape no longer does
-        assert cache.nearest(_query(steps=777)) is None
-
-    def test_legacy_index_rebuilds_buckets_from_metas(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._fill(cache, [("odd-even", "far-end")], per_shape=2)
-        doc = cache.store.load_index()
-        del doc["buckets"]  # simulate an index written before buckets
-        cache.store.write_index(doc)
-        assert cache.nearest(_query(steps=555)) is not None
-        self._assert_consistent(cache)
+        assert cache.stats()["entries"] == 4  # evicted down to the bound
+        for c in (cache, ResultCache(tmp_path, max_entries=4)):
+            # the surviving (most recent) shape still answers nearest
+            assert c.nearest(
+                _query(policy="downhill", adversary="pre-sink", steps=777)
+            ) is not None
+            # the fully-evicted shape no longer does
+            assert c.nearest(_query(steps=777)) is None
