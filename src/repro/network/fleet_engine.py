@@ -27,6 +27,16 @@ each run is classified:
   canonical path) or TreeEngine with a deep-copied policy, stepped
   alongside the matrix, so the fleet's results are complete either
   way.
+* **routed lanes** — lanes the matrix could carry but a dedicated
+  engine runs faster, so they take the fallback machinery too: tree
+  lanes TreeEngine's sparse Algorithm 5 loop can run (non-canonical
+  topology, :class:`~repro.policies.tree.TreeOddEvenPolicy`,
+  ``capacity == 1``, unbounded buffers, no ``validate``), and every
+  batchable lane of a fleet with fewer than
+  :data:`MIN_MATRIX_LANES_PATH` (3) of them on the canonical path or
+  :data:`MIN_MATRIX_LANES_TREE` (4) on another tree.  Wider
+  finite-buffer tree fleets and path fleets stay on the matrix; the
+  crossover measurements are in ``docs/performance.md``.
 
 Every lane — vectorised or not — is **bit-identical** to running that
 configuration alone on PathEngine/TreeEngine/Simulator (the Hypothesis
@@ -65,6 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..adversaries.base import Adversary
 from ..errors import BufferOverflow, ConservationViolation, SimulationError
 from ..policies.base import ForwardingPolicy
+from ..policies.tree import TreeOddEvenPolicy
 
 __all__ = ["FleetEngine"]
 
@@ -73,6 +84,13 @@ __all__ = ["FleetEngine"]
 # fleet would need > 2^31 lane-injections into one buffer to wrap)
 _H_DTYPE = np.int32
 _BIG = np.iinfo(_H_DTYPE).max
+
+#: the fewest batchable lanes a fleet puts on the height matrix, on
+#: the canonical path and on other trees; with fewer, dedicated engines
+#: are faster (the measured crossovers are in docs/performance.md,
+#: "Fleet lane routing")
+MIN_MATRIX_LANES_PATH = 3
+MIN_MATRIX_LANES_TREE = 4
 
 
 @dataclass
@@ -187,20 +205,40 @@ class FleetEngine:
             type(policy).observe_injections
             is ForwardingPolicy.observe_injections
         )
-        self._vec_rows: list[int] = []
-        self._engines: dict[int, Any] = {}
+        # Routing (docs/performance.md, "Fleet lane routing"): a lane
+        # the matrix could carry still gets a dedicated engine when
+        # that engine is faster — TreeEngine's sparse Algorithm 5 loop
+        # beats the dense tree kernel at every measured width with
+        # unbounded buffers, and a matrix of few rows costs more than
+        # it saves.
+        sparse_tree = (
+            not self._canonical
+            and type(policy) is TreeOddEvenPolicy
+            and self.capacity == 1
+            and self.buffer_capacity is None
+            and not validate
+        )
+        batchable: list[int] = []
         for r, adv in enumerate(adversaries):
-            batchable = vec_policy and lane_faults[r] is None
-            if batchable and adv is not None:
+            if sparse_tree or not vec_policy or lane_faults[r] is not None:
+                continue
+            if adv is not None:
                 adv.reset(topology, self.injection_limits[r])
-                batchable = adv.inject_schedule(0, 0, topology) is not None
-            if batchable:
-                self._vec_rows.append(r)
-            else:
-                self._engines[r] = self._make_engine(
-                    r, adv, lane_faults[r]
-                )
+                if adv.inject_schedule(0, 0, topology) is None:
+                    continue
+            batchable.append(r)
+        min_lanes = (
+            MIN_MATRIX_LANES_PATH if self._canonical else MIN_MATRIX_LANES_TREE
+        )
+        self._vec_rows: list[int] = (
+            batchable if len(batchable) >= min_lanes else []
+        )
         self._row_of = {r: i for i, r in enumerate(self._vec_rows)}
+        self._engines: dict[int, Any] = {
+            r: self._make_engine(r, adv, lane_faults[r])
+            for r, adv in enumerate(adversaries)
+            if r not in self._row_of
+        }
 
         rv = len(self._vec_rows)
         self._H = np.zeros((rv, n), dtype=_H_DTYPE)

@@ -129,9 +129,8 @@ class Topology:
                 u = int(succ[u])
                 if u == SINK_SUCC:
                     raise TopologyError("found a second root")
+                # a cycle keeps the walk going until the chain outgrows n
                 if len(chain) > n:
-                    raise TopologyError("cycle detected in successor array")
-                if u in chain:  # pragma: no cover - caught by len check too
                     raise TopologyError("cycle detected in successor array")
             base = depth[u]
             for i, w in enumerate(reversed(chain), start=1):

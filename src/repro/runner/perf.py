@@ -262,7 +262,14 @@ def service_throughput(
     base_steps: int = 400,
     max_lanes: int = 64,
 ) -> dict[str, Any]:
-    """Measure the service's solo vs batched queries/second.
+    """Measure the service's *worker layer*: solo vs batched queries/s.
+
+    This times the shard worker bodies in-process and nothing else —
+    no HTTP, admission, batcher window, shard IPC or cache write — so
+    ``service_qps`` is an upper bound on what that layer can feed the
+    front end, not what an HTTP client sees.  The block keeps its
+    ``service`` name for the committed baselines; end-to-end figures
+    over a real ``repro serve`` come from ``perfbench/run.py``.
 
     A uniform cache-missing burst of ``queries`` provisioning queries
     sharing one batch key (far-end adversary, heterogeneous per-lane

@@ -36,13 +36,14 @@ from .app import ProvisioningService, ServiceConfig, ServiceThread
 from .batcher import BatcherStats, QueryBatcher
 from .cache import ResultCache
 from .protocol import (
+    MAX_TOPOLOGY_NODES,
     BadRequest,
     ProvisionQuery,
     ServiceError,
     analytic_answer,
     analytic_bound,
     coalescible,
-    topology_sha,
+    resolve_topology,
 )
 from .resilience import (
     AdmissionController,
@@ -59,6 +60,7 @@ from .shards import NoHealthyShard, QueryFailed, Shard, ShardPool
 from .worker import execute_batch, execute_query, warm_worker
 
 __all__ = [
+    "MAX_TOPOLOGY_NODES",
     "AdmissionController",
     "Attack",
     "AttackResult",
@@ -91,7 +93,7 @@ __all__ = [
     "execute_batch",
     "execute_query",
     "flood",
+    "resolve_topology",
     "run_attack",
-    "topology_sha",
     "warm_worker",
 ]

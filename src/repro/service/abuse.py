@@ -4,8 +4,9 @@ The paper's adversary controls the *traffic*; the service's adversary
 also controls the *clients*.  This module is the attack side of that
 contract: a deterministic corpus of hostile byte streams (slowloris
 header drip, stalled bodies, oversized inputs, garbage, pipelining,
-mid-body disconnects) plus a raw-socket driver that plays them against
-a live server and reports what came back.
+mid-body disconnects, a topology past the node ceiling) plus a
+raw-socket driver that plays them against a live server and reports
+what came back.
 
 Every attack states its expected rejection up front — the status codes
 the server is allowed to answer with, and that the connection must be
@@ -209,6 +210,22 @@ def corpus(
                 ),
             ),
             expect=(404,),
+        ),
+        Attack(
+            name="oversized-topology",
+            description=(
+                "a well-formed query naming a topology past the node "
+                "ceiling; refused from the spec's integers before "
+                "anything is built"
+            ),
+            steps=(
+                AttackStep(
+                    b"POST /provision HTTP/1.1\r\n"
+                    b"Content-Length: 25\r\n\r\n"
+                    b'{"topology": "binary:40"}'
+                ),
+            ),
+            expect=(400,),
         ),
         Attack(
             name="mid-body-disconnect",

@@ -29,16 +29,30 @@ as lanes of a single fleet: same resolved topology, policy, adversary
 family, decision timing, overflow discipline and buffer capacity.
 Per-lane facts (steps, seed, deadline) stay out of the batch key —
 the fleet advances heterogeneous horizons via ``run_horizons``.
+
+A topology spec resolves through :func:`resolve_topology`, once per
+process (the front end's parse, the shard worker's re-parse and its
+engine construction share the memo); a spec over
+:data:`MAX_TOPOLOGY_NODES` nodes is refused before anything is built.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..errors import ReproError
 from ..network.buffers import Overflow, coerce_overflow
+from ..network.topology import (
+    Topology,
+    balanced_tree,
+    path,
+    random_tree,
+    spider,
+)
 from ..runner.store import canonical_json
 
 __all__ = [
@@ -46,7 +60,8 @@ __all__ = [
     "ServiceError",
     "BadRequest",
     "ProvisionQuery",
-    "topology_sha",
+    "MAX_TOPOLOGY_NODES",
+    "resolve_topology",
     "analytic_bound",
     "analytic_answer",
     "coalescible",
@@ -66,44 +81,102 @@ class BadRequest(ServiceError):
     """The request is malformed; the message names the offending field."""
 
 
-def _resolve_topology(spec: str):
-    """``(succ_list, n, is_path)`` for a topology spec string."""
-    from ..network import topology as topo
+#: the largest topology a spec may name.  The size is computed from
+#: the spec's integers before anything is allocated, so one request
+#: cannot make the event loop build a huge graph: ``binary:13``
+#: (16,383 nodes) passes, ``binary:14`` does not.  A cold resolve at
+#: the ceiling takes up to ~85 ms.
+MAX_TOPOLOGY_NODES = 16_384
 
-    kind, _, arg = str(spec).partition(":")
+_SPEC_HELP = "use path:N (N>=2), spider:AxL, binary:D or random:N"
+
+#: the resolver memo keeps at most this many topologies, of at most
+#: this many nodes in total (~116 bytes a node: four ceiling-size
+#: topologies pin ~8 MB in each process)
+_MEMO_ENTRIES = 16
+_MEMO_NODES = 4 * MAX_TOPOLOGY_NODES
+_memo: OrderedDict[tuple[str, tuple[int, ...]], tuple[Topology, str]] = (
+    OrderedDict()
+)
+_memo_lock = threading.Lock()
+
+_BUILDERS: dict[str, Callable[..., Topology]] = {
+    "path": path,
+    "spider": spider,
+    "binary": lambda depth: balanced_tree(2, depth),
+    "random": lambda n: random_tree(n, seed=0),
+}
+
+
+def _parse_spec(spec: str) -> tuple[str, tuple[int, ...], int]:
+    """A spec's normal form ``(kind, integers)`` and its node count.
+
+    Allocates nothing; every spelling of one spec (``path:64``,
+    ``path:064``, ``path: 64``) has the same normal form.
+    """
+    kind, _, arg = spec.partition(":")
     try:
         if kind == "path":
             n = int(arg or 256)
-            if n < 2:
-                raise ValueError
-            return list(range(1, n)) + [-1], n, True
-        if kind == "spider":
-            arms, _, length = arg.partition("x")
-            t = topo.spider(int(arms), int(length))
+            if n >= 2:
+                return kind, (n,), n
+        elif kind == "spider":
+            arms_s, _, length_s = arg.partition("x")
+            arms, length = int(arms_s), int(length_s)
+            if arms >= 1 and length >= 1:
+                return kind, (arms, length), 2 + arms * length
         elif kind == "binary":
-            t = topo.balanced_tree(2, int(arg))
+            depth = int(arg)
+            if depth >= 0:
+                # capped shift: a depth of 10**9 must not build 2**10**9
+                return kind, (depth,), (1 << (min(depth, 64) + 1)) - 1
         elif kind == "random":
-            t = topo.random_tree(int(arg), seed=0)
-        else:
-            raise ValueError
-    except (ValueError, TypeError) as err:
-        raise BadRequest(
-            f"bad topology spec {spec!r}; use path:N (N>=2), spider:AxL, "
-            f"binary:D or random:N"
-        ) from err
-    return [int(s) for s in t.succ], t.n, bool(t.is_canonical_path)
+            n = int(arg)
+            if n >= 1:
+                return kind, (n,), n
+    except ValueError as err:
+        raise BadRequest(f"bad topology spec {spec!r}; {_SPEC_HELP}") from err
+    raise BadRequest(f"bad topology spec {spec!r}; {_SPEC_HELP}")
 
 
-def topology_sha(spec: str) -> str:
-    """Content address of the topology a spec resolves to.
+def resolve_topology(spec: str) -> tuple[Topology, str]:
+    """The :class:`Topology` a spec names and its content address.
 
-    Hashes the successor array, not the spec string, so two spellings
-    of the same tree share cache entries.
+    Resolved once per process: protocol parse, the shard worker's
+    re-parse and its engine construction all share one memo, keyed on
+    the spec's normal form so no spelling of a resolved spec misses.
+    The memo is bounded by size (:data:`_MEMO_NODES` nodes in total)
+    as well as by count, so no stream of specs can make it pin more
+    than a few megabytes.  A ``Topology`` is immutable, so sharing it
+    is safe.  The address hashes the successor array, not the spec,
+    so two specs naming the same tree share cache entries.  Specs over
+    :data:`MAX_TOPOLOGY_NODES` nodes are refused before any allocation.
     """
-    succ, _, _ = _resolve_topology(spec)
-    return hashlib.sha256(
-        canonical_json({"succ": succ}).encode("utf-8")
+    kind, args, n = _parse_spec(spec)
+    if n > MAX_TOPOLOGY_NODES:
+        raise BadRequest(
+            f"topology {spec!r} is over the {MAX_TOPOLOGY_NODES}-node limit"
+        )
+    key = (kind, args)
+    with _memo_lock:
+        resolved = _memo.get(key)
+        if resolved is not None:
+            _memo.move_to_end(key)
+            return resolved
+    topology = _BUILDERS[kind](*args)
+    # every caller shares this instance: make its arrays read-only too
+    for array in (topology.succ, topology.depth, topology.bottom_up):
+        array.flags.writeable = False
+    sha = hashlib.sha256(
+        canonical_json({"succ": topology.succ.tolist()}).encode("utf-8")
     ).hexdigest()
+    with _memo_lock:
+        _memo[key] = resolved = (topology, sha)
+        while len(_memo) > _MEMO_ENTRIES or (
+            sum(t.n for t, _ in _memo.values()) > _MEMO_NODES
+        ):
+            _memo.popitem(last=False)
+    return resolved
 
 
 _ADVERSARIES = (
@@ -175,7 +248,8 @@ class ProvisionQuery:
             q.preset = preset
         else:
             q.topology = str(raw.get("topology", q.topology))
-            _, q.n, q.is_path = _resolve_topology(q.topology)
+            topology, q.topology_sha = resolve_topology(q.topology)
+            q.n, q.is_path = topology.n, topology.is_canonical_path
             q.policy = str(raw.get("policy", q.policy))
             from ..policies import available_policies
 
@@ -242,7 +316,6 @@ class ProvisionQuery:
                 except ReproError as err:
                     raise BadRequest(f"bad fault plan: {err}") from err
                 q.faults = faults
-            q.topology_sha = topology_sha(q.topology)
         deadline = raw.get("deadline_s")
         if deadline is not None:
             if not isinstance(deadline, (int, float)) or deadline <= 0:

@@ -3,9 +3,20 @@
 :func:`execute_query` is the module-level (picklable) entry point a
 shard process runs for one solo query; :func:`execute_batch` answers a
 whole coalesced batch with **one** :class:`~repro.network.fleet_engine.
-FleetEngine` call, returning one response per lane in order.  Neither
-raises for in-simulation failures — those come back as an
-``{"error": ...}`` payload so the front end can distinguish "this
+FleetEngine` call, returning one response per lane in order.  A solo
+fault-free provision query is a fleet of one, so every fault-free
+engine is built in one place, by the fleet, which routes each lane to
+its fastest engine: a path batch of 3+ lanes (or a finite-buffer tree
+batch of 4+) shares the height matrix, while a narrower batch, or a
+tree batch TreeEngine's sparse loop can run, gets dedicated engines.
+Only a query under a fault plan builds its own engine, because
+``run_with_recovery`` steps it between snapshots.  Every body takes
+the query's :class:`~repro.network.topology.Topology` from
+:func:`~repro.service.protocol.resolve_topology`, which resolves each
+spec once per process.
+
+Neither body raises for in-simulation failures — those come back as
+an ``{"error": ...}`` payload so the front end can distinguish "this
 query is bad" (no retry, don't charge the shard's breaker) from "this
 shard died/hung" (retry elsewhere, charge the breaker).  A batch adds
 one more distinction: a single *poisoned lane* yields an ``error``
@@ -19,8 +30,10 @@ and healing exist for, and exactly what the chaos stubs
 
 :func:`warm_worker` is the warm-up body ``ShardPool.warm_up()`` runs
 in every freshly spawned worker: it pre-imports numpy and the engine
-stack and spins a throwaway 1-lane fleet, so the first real batch
-never pays the import/allocation latency spike inside its deadline.
+stack and answers a throwaway batch on each fleet route (a 3-lane
+path batch on the matrix, a 1-lane tree batch on a TreeEngine), so
+the first real batch never pays the import/allocation latency spike
+inside its deadline.
 """
 
 from __future__ import annotations
@@ -29,7 +42,12 @@ import os
 import time
 from typing import Any
 
-from .protocol import RESPONSE_SCHEMA, ProvisionQuery, analytic_bound
+from .protocol import (
+    RESPONSE_SCHEMA,
+    ProvisionQuery,
+    analytic_bound,
+    resolve_topology,
+)
 
 __all__ = ["execute_query", "execute_batch", "warm_worker"]
 
@@ -72,75 +90,41 @@ def _run_experiment(query: ProvisionQuery) -> dict[str, Any]:
     }
 
 
-def _run_provision(query: ProvisionQuery) -> dict[str, Any]:
+def _steps(query: ProvisionQuery) -> int:
     from ..analysis.occupancy import default_step_budget
+
+    return default_step_budget(query.n) if query.steps is None else query.steps
+
+
+def _run_faulted(query: ProvisionQuery) -> dict[str, Any]:
+    """A provision query under a fault plan, on its own engine.
+
+    ``run_with_recovery`` steps the engine one round at a time between
+    snapshots, which a fleet does not offer; every fault-free provision
+    query goes through :func:`_run_fleet_lanes` instead.
+    """
     from ..cli import _make_adversary
-    from ..network.faults import FaultPlan
+    from ..network.engine_fast import PathEngine
+    from ..network.faults import FaultPlan, run_with_recovery
+    from ..network.tree_engine import TreeEngine
+    from ..policies import make_policy
 
-    steps = (
-        default_step_budget(query.n) if query.steps is None else query.steps
-    )
-    plan = FaultPlan.from_dict(query.faults) if query.faults else None
+    steps = _steps(query)
+    topology, _ = resolve_topology(query.topology)
+    policy = make_policy(query.policy)
     adversary = _make_adversary(query.adversary, query.seed)
-    if query.is_path:
-        from ..network.engine_fast import PathEngine
-        from ..policies import make_policy
-
-        engine: Any = PathEngine(
-            query.n,
-            make_policy(query.policy),
-            adversary,
-            decision_timing=query.decision_timing,  # type: ignore[arg-type]
-            buffer_capacity=query.buffer_capacity,
-            overflow=query.overflow,
-            faults=plan,
-        )
+    kwargs: dict[str, Any] = dict(
+        decision_timing=query.decision_timing,
+        buffer_capacity=query.buffer_capacity,
+        overflow=query.overflow,
+        faults=FaultPlan.from_dict(query.faults),
+    )
+    if topology.is_canonical_path:
+        engine: Any = PathEngine(topology.n, policy, adversary, **kwargs)
     else:
-        from ..network.topology import from_parent_array
-        from ..network.tree_engine import TreeEngine
-        from ..policies import TreeOddEvenPolicy
-        from .protocol import _resolve_topology
-
-        succ, _, _ = _resolve_topology(query.topology)
-        engine = TreeEngine(
-            from_parent_array(succ),
-            TreeOddEvenPolicy(),
-            adversary,
-            decision_timing=query.decision_timing,  # type: ignore[arg-type]
-            buffer_capacity=query.buffer_capacity,
-            overflow=query.overflow,
-            faults=plan,
-        )
-    if plan is not None:
-        from ..network.faults import run_with_recovery
-
-        run_with_recovery(engine, steps, snapshot_every=max(1, steps // 8))
-    else:
-        engine.run(steps)
-    t = engine.metrics.tracker
-    ledger = engine.metrics.ledger
-    in_flight = int(engine.heights.sum())
-    return {
-        "schema": RESPONSE_SCHEMA,
-        "kind": "provision",
-        "query": query.canonical(),
-        "cache_key": query.cache_key(),
-        "n": query.n,
-        "steps": steps,
-        # the provisioning answer: buffers of this size lose nothing
-        "max_height": int(t.max_height),
-        "argmax_node": int(t.argmax_node),
-        "bound": analytic_bound(query),
-        # ...and what a smaller buffer / faulty network actually lost
-        "injected": int(engine.metrics.injected),
-        "delivered": int(engine.metrics.delivered),
-        "in_flight": in_flight,
-        "dropped": int(ledger.total),
-        "drops_by_cause": {
-            str(c): int(k) for c, k in sorted(ledger.by_cause().items())
-        },
-        "degraded": False,
-    }
+        engine = TreeEngine(topology, policy, adversary, **kwargs)
+    run_with_recovery(engine, steps, snapshot_every=max(1, steps // 8))
+    return _provision_response(query, steps, engine.result())
 
 
 def _parse_worker_dict(worker_dict: dict[str, Any]) -> ProvisionQuery:
@@ -165,8 +149,10 @@ def execute_query(worker_dict: dict[str, Any]) -> dict[str, Any]:
         query = _parse_worker_dict(worker_dict)
         if query.kind == "experiment":
             response = _run_experiment(query)
+        elif query.faults:
+            response = _run_faulted(query)
         else:
-            response = _run_provision(query)
+            (response,) = _run_fleet_lanes([query])
     except BaseException as err:
         if isinstance(err, (KeyboardInterrupt, SystemExit)):
             raise
@@ -175,12 +161,12 @@ def execute_query(worker_dict: dict[str, Any]) -> dict[str, Any]:
     return response
 
 
-def _lane_response(
+def _provision_response(
     query: ProvisionQuery, steps: int, result: Any
 ) -> dict[str, Any]:
-    """One batched lane's response, field-for-field identical to the
-    solo :func:`_run_provision` document (``compute_s`` excepted —
-    wall-clock is not part of the answer)."""
+    """A provision query's answer from its run's
+    :class:`~repro.network.simulator.RunResult` (``compute_s`` is added
+    by the caller — wall-clock is not part of the answer)."""
     return {
         "schema": RESPONSE_SCHEMA,
         "kind": "provision",
@@ -188,9 +174,11 @@ def _lane_response(
         "cache_key": query.cache_key(),
         "n": query.n,
         "steps": steps,
+        # the provisioning answer: buffers of this size lose nothing
         "max_height": int(result.max_height),
         "argmax_node": int(result.argmax_node),
         "bound": analytic_bound(query),
+        # ...and what a smaller buffer / faulty network actually lost
         "injected": int(result.injected),
         "delivered": int(result.delivered),
         "in_flight": int(result.in_flight),
@@ -213,11 +201,10 @@ def _run_fleet_lanes(
     per-lane steps and seeds are heterogeneous and served through
     :meth:`~repro.network.fleet_engine.FleetEngine.run_horizons`.
     """
-    from ..analysis.occupancy import default_step_budget
     from ..cli import _make_adversary
     from ..network.fleet_engine import FleetEngine
     from ..policies import make_policy
-    from .protocol import ServiceError, _resolve_topology
+    from .protocol import ServiceError
 
     head = queries[0]
     for q in queries[1:]:
@@ -232,22 +219,12 @@ def _run_fleet_lanes(
             raise ServiceError(
                 "batch mixes incompatible lanes (batch keys disagree)"
             )
-    horizons = [
-        default_step_budget(q.n) if q.steps is None else q.steps
-        for q in queries
-    ]
+    horizons = [_steps(q) for q in queries]
     adversaries = [_make_adversary(q.adversary, q.seed) for q in queries]
-    policy = make_policy(head.policy)
-    if head.is_path:
-        topology: Any = head.n
-    else:
-        from ..network.topology import from_parent_array
-
-        succ, _, _ = _resolve_topology(head.topology)
-        topology = from_parent_array(succ)
+    topology, _ = resolve_topology(head.topology)
     fleet = FleetEngine(
         topology,
-        policy,
+        make_policy(head.policy),
         adversaries,
         decision_timing=head.decision_timing,  # type: ignore[arg-type]
         buffer_capacity=head.buffer_capacity,
@@ -255,7 +232,7 @@ def _run_fleet_lanes(
     )
     results = fleet.run_horizons(horizons)
     return [
-        _lane_response(q, steps, res)
+        _provision_response(q, steps, res)
         for q, steps, res in zip(queries, horizons, results)
     ]
 
@@ -316,15 +293,20 @@ def execute_batch(
 def warm_worker() -> int:
     """Pre-pay the import/JIT cost in a fresh shard worker.
 
-    Imports numpy and the engine stack and advances a throwaway 1-lane
-    fleet a few steps, so the first coalesced batch a worker serves
-    starts hot.  Returns the worker's PID (handy for tests asserting
-    the warm-up actually ran in the worker process).
+    Answers two throwaway batches, one per fleet route: a 3-lane path
+    batch (the height-matrix kernel) and a 1-lane tree batch (a
+    dedicated TreeEngine), so the first real batch a worker serves
+    starts hot whichever route it takes.  Returns the worker's PID
+    (handy for tests asserting the warm-up actually ran in the worker
+    process).
     """
-    from ..adversaries import FarEndAdversary
-    from ..network.fleet_engine import FleetEngine
-    from ..policies import OddEvenPolicy
-
-    fleet = FleetEngine(8, OddEvenPolicy(), [FarEndAdversary()])
-    fleet.run_horizons([4])
+    for spec, lanes in (("path:8", 3), ("binary:3", 1)):
+        execute_batch(
+            [
+                ProvisionQuery.from_dict(
+                    {"topology": spec, "steps": 4, "seed": seed}
+                ).to_worker_dict()
+                for seed in range(lanes)
+            ]
+        )
     return os.getpid()

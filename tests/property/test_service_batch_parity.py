@@ -19,6 +19,8 @@ import asyncio
 
 from hypothesis import given, settings, strategies as st
 
+from repro.network.fleet_engine import MIN_MATRIX_LANES_PATH
+
 from repro.service import (
     Deadline,
     ProvisionQuery,
@@ -72,6 +74,47 @@ def test_execute_batch_bit_identical_to_solo(raws):
     batched = execute_batch(dicts)
     assert len(batched) == len(dicts)
     for d, got in zip(dicts, batched):
+        assert _strip(got) == _strip(execute_query(d))
+
+
+#: one batch key's worth of scheduled lanes, wide enough that the
+#: fleet puts them on the height matrix (FleetEngine's lane routing
+#: gives narrower batches dedicated engines, like the solo path)
+BATCH_KEY = st.fixed_dictionaries(
+    {
+        "topology": st.sampled_from(["path:8", "path:12"]),
+        "policy": st.just("odd-even"),
+        "adversary": st.sampled_from(
+            ["far-end", "pre-sink", "uniform", "round-robin"]
+        ),
+        "overflow": OVERFLOWS,
+        "decision_timing": TIMINGS,
+        "buffer_capacity": st.one_of(
+            st.none(), st.integers(min_value=1, max_value=4)
+        ),
+    }
+)
+LANE = st.fixed_dictionaries(
+    {
+        "steps": st.integers(min_value=5, max_value=50),
+        "seed": st.integers(min_value=0, max_value=3),
+    }
+)
+
+
+@given(
+    key=BATCH_KEY,
+    lanes=st.lists(
+        LANE, min_size=MIN_MATRIX_LANES_PATH, max_size=8,
+        unique_by=lambda lane: (lane["steps"], lane["seed"]),
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_matrix_batch_bit_identical_to_solo(key, lanes):
+    """Worker layer, one batch key: the height-matrix answer for every
+    lane == that query answered alone on its dedicated engine."""
+    dicts = [_parse({**key, **lane}).to_worker_dict() for lane in lanes]
+    for d, got in zip(dicts, execute_batch(dicts)):
         assert _strip(got) == _strip(execute_query(d))
 
 

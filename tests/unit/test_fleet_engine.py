@@ -26,7 +26,11 @@ from repro.analysis.occupancy import measure_path, worst_case_over_suite
 from repro.errors import SimulationError
 from repro.network.engine_fast import PathEngine
 from repro.network.faults import FaultEvent, FaultKind, FaultPlan
-from repro.network.fleet_engine import FleetEngine
+from repro.network.fleet_engine import (
+    MIN_MATRIX_LANES_PATH,
+    MIN_MATRIX_LANES_TREE,
+    FleetEngine,
+)
 from repro.network.simulator import RunResult
 from repro.network.topology import balanced_tree
 from repro.policies import GreedyPolicy, OddEvenPolicy, TreeOddEvenPolicy
@@ -98,10 +102,63 @@ def test_deterministic_and_stochastic_lanes_vectorise():
 
 
 def test_adaptive_adversary_falls_back():
-    advs = [FarEndAdversary(), SeesawAdversary()]
+    advs = [FarEndAdversary(), SeesawAdversary(), FixedNodeAdversary(0),
+            FixedNodeAdversary(3)]
     fleet = FleetEngine(8, OddEvenPolicy(), advs)
-    assert fleet.vectorized_runs == (0,)
+    assert fleet.vectorized_runs == (0, 2, 3)
     assert fleet.fallback_runs == (1,)
+
+
+# ------------------------------------------------------------------
+# lane routing: a dedicated engine wherever it beats the matrix
+
+
+def test_lone_batchable_lane_runs_on_a_dedicated_engine():
+    fleet = FleetEngine(8, OddEvenPolicy(), [FarEndAdversary()])
+    assert fleet.vectorized_runs == ()
+    assert isinstance(fleet._engines[0], PathEngine)
+    # one batchable lane beside an adaptive one is still alone
+    fleet = FleetEngine(8, OddEvenPolicy(), [FarEndAdversary(),
+                                             SeesawAdversary()])
+    assert fleet.vectorized_runs == ()
+    assert fleet.fallback_runs == (0, 1)
+
+
+def test_path_matrix_starts_at_its_crossover():
+    def lanes(k):
+        return [FixedNodeAdversary(i) for i in range(k)]
+
+    k = MIN_MATRIX_LANES_PATH
+    below = FleetEngine(8, OddEvenPolicy(), lanes(k - 1) + [SeesawAdversary()])
+    assert below.vectorized_runs == ()
+    assert all(isinstance(e, PathEngine) for e in below._engines.values())
+    at = FleetEngine(8, OddEvenPolicy(), lanes(k))
+    assert at.vectorized_runs == tuple(range(k))
+
+
+def test_sparse_eligible_tree_lanes_run_on_tree_engines():
+    from repro.network.tree_engine import TreeEngine
+
+    fleet = FleetEngine(balanced_tree(2, 4), TreeOddEvenPolicy(),
+                        [FarEndAdversary(), FixedNodeAdversary(3)])
+    assert fleet.vectorized_runs == ()
+    assert all(isinstance(fleet._engines[r], TreeEngine) for r in (0, 1))
+
+
+def test_finite_buffer_tree_lanes_stay_on_the_matrix():
+    def lanes(k):
+        return [FarEndAdversary()] + [FixedNodeAdversary(3 + i)
+                                      for i in range(k - 1)]
+
+    k = MIN_MATRIX_LANES_TREE
+    fleet = FleetEngine(balanced_tree(2, 4), TreeOddEvenPolicy(),
+                        lanes(k), buffer_capacity=2)
+    assert fleet.vectorized_runs == tuple(range(k))
+    assert fleet.fallback_runs == ()
+    # below the tree crossover the same lanes get TreeEngines
+    fleet = FleetEngine(balanced_tree(2, 4), TreeOddEvenPolicy(),
+                        lanes(k - 1), buffer_capacity=2)
+    assert fleet.vectorized_runs == ()
 
 
 def test_faulted_lane_falls_back():
@@ -109,18 +166,22 @@ def test_faulted_lane_falls_back():
         FaultEvent(kind=FaultKind.LINK_DOWN, start=2, node=3, duration=2),
     ))
     fleet = FleetEngine(
-        8, OddEvenPolicy(), suite(8), faults=[None, plan, None]
+        8, OddEvenPolicy(), suite(8) + [FixedNodeAdversary(3)],
+        faults=[None, plan, None, None],
     )
     assert fleet.fallback_runs == (1,)
-    assert fleet.vectorized_runs == (0, 2)
+    assert fleet.vectorized_runs == (0, 2, 3)
 
 
 def test_mixed_lanes_agree_with_dedicated_engines():
-    advs = [FarEndAdversary(), SeesawAdversary(), FixedNodeAdversary(0)]
+    advs = [FarEndAdversary(), SeesawAdversary(), FixedNodeAdversary(0),
+            FixedNodeAdversary(3)]
     fleet = FleetEngine(8, OddEvenPolicy(), advs)
+    assert fleet.vectorized_runs == (0, 2, 3)
     fleet.run(40)
     for r, adv_cls in enumerate(
-        [FarEndAdversary, SeesawAdversary, lambda: FixedNodeAdversary(0)]
+        [FarEndAdversary, SeesawAdversary, lambda: FixedNodeAdversary(0),
+         lambda: FixedNodeAdversary(3)]
     ):
         eng = PathEngine(8, OddEvenPolicy(), adv_cls())
         eng.run(40)
@@ -162,8 +223,9 @@ def test_max_heights_tracks_per_run_peaks():
 
 def test_checkpoint_restore_replays_identically():
     advs = [FarEndAdversary(), SeesawAdversary(),
-            UniformRandomAdversary(p=0.5, seed=3)]
+            UniformRandomAdversary(p=0.5, seed=3), FixedNodeAdversary(3)]
     fleet = FleetEngine(8, OddEvenPolicy(), advs)
+    assert fleet.vectorized_runs == (0, 2, 3)
     fleet.run(20)
     snap = fleet.snapshot()
     fleet.run(30)
@@ -180,7 +242,7 @@ def test_save_load_checkpoint_into_fresh_fleet(tmp_path):
         return FleetEngine(
             8, OddEvenPolicy(),
             [FarEndAdversary(), SeesawAdversary(),
-             UniformRandomAdversary(p=0.5, seed=3)],
+             UniformRandomAdversary(p=0.5, seed=3), FixedNodeAdversary(3)],
         )
 
     fleet = build()
@@ -194,7 +256,8 @@ def test_save_load_checkpoint_into_fresh_fleet(tmp_path):
     assert fresh.step_index == 25
     fresh.run(25)
     assert (fresh.heights == fleet.heights).all()
-    for r in range(3):
+    assert fresh.vectorized_runs == (0, 2, 3)
+    for r in range(4):
         a, b = fresh.result(r), fleet.result(r)
         for name in _FIELDS:
             assert getattr(a, name) == getattr(b, name)
@@ -222,13 +285,15 @@ def test_tree_fleet_runs_on_balanced_tree():
 
 def test_worst_case_over_suite_matches_manual_loop():
     n, steps = 16, 128
-    advs = [FarEndAdversary(), FixedNodeAdversary(0), SeesawAdversary()]
+    advs = [FarEndAdversary(), FixedNodeAdversary(0), SeesawAdversary(),
+            FixedNodeAdversary(5)]
     got = worst_case_over_suite(
         n, OddEvenPolicy, advs, steps
     )
     best = None
-    for adv_cls in (FarEndAdversary, FixedNodeAdversary, SeesawAdversary):
-        adv = adv_cls(0) if adv_cls is FixedNodeAdversary else adv_cls()
+    for make in (FarEndAdversary, lambda: FixedNodeAdversary(0),
+                 SeesawAdversary, lambda: FixedNodeAdversary(5)):
+        adv = make()
         res = measure_path(n, OddEvenPolicy(), adv, steps)
         if best is None or res.max_height > best.max_height:
             best = res

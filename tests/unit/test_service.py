@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import (
+    MAX_TOPOLOGY_NODES,
     AdmissionController,
     BadRequest,
     CircuitBreaker,
@@ -33,7 +35,7 @@ from repro.service import (
     Shedding,
     backoff_delay,
     execute_query,
-    topology_sha,
+    resolve_topology,
 )
 
 REPO = Path(__file__).resolve().parents[2]
@@ -333,9 +335,69 @@ class TestProvisionQueryValidation:
             )
 
     def test_topology_sha_is_on_the_resolved_graph(self):
-        assert topology_sha("path:8") == topology_sha("path:8")
-        assert topology_sha("path:8") != topology_sha("path:9")
-        assert topology_sha("binary:2") != topology_sha("path:7")
+        def sha(spec):
+            return resolve_topology(spec)[1]
+
+        assert sha("path:8") == sha("path:8")
+        assert sha("path:8") != sha("path:9")
+        assert sha("binary:2") != sha("path:7")
+        # two spellings of one graph share the address
+        assert sha("path:8") == sha("path:08") == sha("path: 8")
+
+    def test_topology_resolved_once_per_process(self):
+        topology, sha = resolve_topology("binary:4")
+        assert resolve_topology("binary:4")[0] is topology
+        assert not topology.succ.flags.writeable
+        q = ProvisionQuery.from_dict({"topology": "binary:4"})
+        assert (q.n, q.topology_sha) == (topology.n, sha)
+        # the memo is keyed on the spec's normal form, not its spelling
+        for spelling in ("binary:04", "binary: 4", "binary:4 "):
+            assert resolve_topology(spelling)[0] is topology
+
+    def test_resolver_memo_is_bounded_by_size_and_count(self):
+        from repro.service import protocol
+
+        for i in range(6):
+            resolve_topology(f"path:{MAX_TOPOLOGY_NODES - i}")
+        held = [t.n for t, _ in protocol._memo.values()]
+        assert sum(held) <= protocol._MEMO_NODES
+        assert held[-1] == MAX_TOPOLOGY_NODES - 5  # the newest stays
+        for i in range(protocol._MEMO_ENTRIES + 4):
+            resolve_topology(f"path:{2 + i}")
+        assert len(protocol._memo) == protocol._MEMO_ENTRIES
+
+    @pytest.mark.parametrize("spec", [
+        "path:100000000",
+        "path:16385",
+        "binary:14",
+        "binary:40",
+        "binary:1000000000",
+        "random:100000000",
+        "spider:1000x1000",
+    ])
+    def test_oversized_topology_rejected_before_allocation(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadRequest, match="16384-node limit"):
+                ProvisionQuery.from_dict({"topology": spec})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+
+    @pytest.mark.parametrize("spec", [
+        "path:2", "path:300", "spider:1x1", "spider:3x4", "binary:0",
+        "binary:5", "random:1", "random:77",
+    ])
+    def test_ceiling_counts_the_nodes_the_spec_builds(self, spec):
+        from repro.service.protocol import _parse_spec
+
+        _, _, n = _parse_spec(spec)
+        assert n == resolve_topology(spec)[0].n
+
+    def test_largest_binary_tree_under_the_ceiling_resolves(self):
+        q = ProvisionQuery.from_dict({"topology": "binary:13"})
+        assert q.n == 2**14 - 1 <= MAX_TOPOLOGY_NODES
 
     def test_deadline_excluded_from_cache_key(self):
         a = ProvisionQuery.from_dict({"topology": "path:16"})

@@ -142,8 +142,10 @@ class TestExecuteBatch:
     def test_unparseable_lane_errors_alone(self):
         good = _query(steps=25).to_worker_dict()
         bad = dict(good, steps=-1)
-        out = execute_batch([good, bad, dict(good, seed=9)])
-        assert "error" not in out[0] and "error" not in out[2]
+        out = execute_batch(
+            [good, bad, dict(good, seed=9), dict(good, seed=10)]
+        )
+        assert all("error" not in out[i] for i in (0, 2, 3))
         assert "error" in out[1]
         assert _strip(out[0]) == _strip(execute_query(good))
 
